@@ -1,9 +1,8 @@
-//! Extension: sharded event engine at large node counts.
+//! Extension: the event engine at large node counts.
 //!
-//! The event-driven engine now runs on a `ShardedEventQueue` (per-node-group
-//! heaps behind a global merge) and an arena-backed parameter store, so the
-//! simulator scales past the paper's 256-node ceiling. This bench measures
-//! two things:
+//! The event loop runs on one seeded binary heap (`jwins_sim::EventQueue`)
+//! and an arena-backed parameter store, so the simulator scales past the
+//! paper's 256-node ceiling. This bench measures two things:
 //!
 //! 1. **Scale sweep** — events/sec and peak RSS (`VmHWM`) as the node count
 //!    grows (1k, 10k; 100k at `JWINS_SCALE=paper`). The workload is a tiny
@@ -11,15 +10,13 @@
 //! 2. **Ordering modes** — under fully-random per-node speeds
 //!    (`ComputeProfile::LogNormal`) no two events share a timestamp, so
 //!    `Ordering::Strict` degenerates to singleton batches and the worker
-//!    pool starves. `Ordering::Window` admits a bounded virtual-time skew
-//!    into each batch and recovers the parallelism; on an 8-core host the
-//!    full run asserts >1.5× throughput over the strict global-heap
-//!    configuration, and every run asserts the relaxed mode lands within
-//!    one accuracy point of strict.
+//!    pool starves. The experimental `Ordering::Window` admits a bounded
+//!    virtual-time skew into each batch to recover the parallelism; on an
+//!    8-core host the full run asserts >1.5× throughput over strict, and
+//!    every run asserts the relaxed mode lands within one accuracy point of
+//!    strict. On 2 cores Window has measured 1.4–2.3× *slower* than strict.
 //!
-//! Strict mode at any shard count is bit-identical to the original single
-//! heap (`tests/scale_determinism.rs` pins this); only `Window` is allowed
-//! to reorder, and only within `max_skew_ns`.
+//! Only `Window` is allowed to reorder, and only within `max_skew_ns`.
 //!
 //! Peak RSS is read from `/proc/self/status` (`VmHWM`), which is a
 //! process-lifetime high-water mark — the sweep therefore runs node counts
@@ -76,7 +73,6 @@ fn random_speeds() -> HeterogeneityProfile {
 fn run_scale(
     nodes: usize,
     rounds: usize,
-    shards: usize,
     ordering: Ordering,
     threads: usize,
     hetero: HeterogeneityProfile,
@@ -103,7 +99,6 @@ fn run_scale(
     cfg.threads = threads;
     cfg.execution = ExecutionMode::EventDriven;
     cfg.heterogeneity = hetero;
-    cfg.shards = shards;
     cfg.ordering = ordering;
     let trainer = Trainer::builder(cfg)
         .topology(
@@ -125,10 +120,11 @@ fn main() {
     let scale = Scale::from_env();
     let smoke = jwins_bench::smoke();
     banner(
-        "ext_scale — sharded event engine from 1k to 100k nodes",
-        "per-shard heaps + arena-backed node state keep events/sec flat and \
-         memory sublinear as the node count grows; Window ordering recovers \
-         batch parallelism under fully-random speeds",
+        "ext_scale — the event engine from 1k to 100k nodes",
+        "one event heap + arena-backed node state keep events/sec flat and \
+         memory sublinear as the node count grows; the experimental Window \
+         ordering trades a bounded skew for batch parallelism under \
+         fully-random speeds",
     );
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
@@ -148,17 +144,17 @@ fn main() {
         "{:>8} {:>8} {:>10} {:>12} {:>12}",
         "nodes", "rounds", "wall s", "events/s", "peak RSS MB"
     );
-    let mut csv =
-        String::from("section,nodes,rounds,shards,ordering,threads,wall_s,events_per_s,peak_rss_mb,final_accuracy\n");
+    let mut csv = String::from(
+        "section,nodes,rounds,ordering,threads,wall_s,events_per_s,peak_rss_mb,final_accuracy\n",
+    );
     let mut cases = Vec::new();
     let mut rss_per_node: Vec<(usize, f64)> = Vec::new();
     for &nodes in sizes {
-        // Shard count scales with the run; stragglers keep cohorts
-        // time-aligned so strict batches stay wide even at scale.
-        let shards = (nodes / 64).max(1);
+        // Stragglers keep cohorts time-aligned so strict batches stay wide
+        // even at scale.
         let hetero = HeterogeneityProfile::stragglers(0.25, 4.0, 0.005, 12.5e6);
         let start = Instant::now();
-        let result = run_scale(nodes, rounds, shards, Ordering::Strict, 0, hetero);
+        let result = run_scale(nodes, rounds, Ordering::Strict, 0, hetero);
         let wall = start.elapsed().as_secs_f64();
         let events = event_count(nodes, rounds);
         let eps = events as f64 / wall;
@@ -167,7 +163,7 @@ fn main() {
         let accuracy = result.final_record().map_or(f64::NAN, |r| r.test_accuracy);
         println!("{nodes:>8} {rounds:>8} {wall:>10.2} {eps:>12.0} {rss_mb:>12.1}");
         csv.push_str(&format!(
-            "scale,{nodes},{rounds},{shards},strict,0,{wall:.4},{eps:.1},{rss_mb:.1},{accuracy:.6}\n"
+            "scale,{nodes},{rounds},strict,0,{wall:.4},{eps:.1},{rss_mb:.1},{accuracy:.6}\n"
         ));
         cases.push(BenchCase::from_result(
             "ext_scale",
@@ -217,43 +213,21 @@ fn main() {
     );
     let mut strict_result: Option<(f64, RunResult)> = None;
     let mut window_result: Option<(f64, RunResult)> = None;
-    for (label, shards, ordering) in [
-        ("strict/1-shard (heap)", 1usize, Ordering::Strict),
-        ("strict/16-shard", 16, Ordering::Strict),
-        ("window/16-shard", 16, skew),
-    ] {
+    for (label, ordering) in [("strict", Ordering::Strict), ("window", skew)] {
         let start = Instant::now();
-        let result = run_scale(ord_nodes, ord_rounds, shards, ordering, 8, random_speeds());
+        let result = run_scale(ord_nodes, ord_rounds, ordering, 8, random_speeds());
         let wall = start.elapsed().as_secs_f64();
         let events = event_count(ord_nodes, ord_rounds);
         let eps = events as f64 / wall;
         let accuracy = result.final_record().map_or(f64::NAN, |r| r.test_accuracy);
         println!("{label:>24} {wall:>10.2} {eps:>12.0} {accuracy:>10.4}");
-        let ord_name = if matches!(ordering, Ordering::Strict) {
-            "strict"
-        } else {
-            "window"
-        };
         csv.push_str(&format!(
-            "ordering,{ord_nodes},{ord_rounds},{shards},{ord_name},8,{wall:.4},{eps:.1},,{accuracy:.6}\n"
+            "ordering,{ord_nodes},{ord_rounds},{label},8,{wall:.4},{eps:.1},,{accuracy:.6}\n"
         ));
-        cases.push(BenchCase::from_result(
-            "ext_scale",
-            &format!("{ord_name}-{shards}shard"),
-            wall,
-            &result,
-        ));
-        match (ordering, shards) {
-            (Ordering::Strict, 1) => strict_result = Some((wall, result)),
-            (Ordering::Window { .. }, _) => window_result = Some((wall, result)),
-            _ => {
-                // The 16-shard strict run must replay the 1-shard schedule
-                // bit for bit: sharding is structural, not semantic.
-                if let Some((_, base)) = &strict_result {
-                    base.assert_bit_identical(&result, "strict 1-shard vs 16-shard");
-                    println!("{:>24} strict shard counts are bit-identical", "");
-                }
-            }
+        cases.push(BenchCase::from_result("ext_scale", label, wall, &result));
+        match ordering {
+            Ordering::Strict => strict_result = Some((wall, result)),
+            _ => window_result = Some((wall, result)),
         }
     }
     let (strict_wall, strict_run) = strict_result.expect("strict baseline ran");

@@ -231,9 +231,6 @@ fn main() -> ExitCode {
     let mut counts: BTreeMap<&'static str, u64> = BTreeMap::new();
     let mut train_batches = ClassStats::new();
     let mut mix_batches = ClassStats::new();
-    // shard -> (batches, events): how evenly the sharded queue feeds the
-    // worker pool (a single hot shard means routing, not load, is skewed).
-    let mut shard_widths: BTreeMap<u32, (u64, u64)> = BTreeMap::new();
     // node -> total virtual compute ns.
     let mut compute: BTreeMap<u32, u64> = BTreeMap::new();
     // (from, to) -> (staleness sum, messages).
@@ -244,22 +241,14 @@ fn main() -> ExitCode {
             TraceEvent::ExecuteBatch {
                 class,
                 width,
-                shard,
                 propose_ns,
                 execute_ns,
                 commit_ns,
                 ..
-            } => {
-                match class {
-                    BatchClass::Train => {
-                        train_batches.add(width, propose_ns, execute_ns, commit_ns)
-                    }
-                    BatchClass::Mix => mix_batches.add(width, propose_ns, execute_ns, commit_ns),
-                }
-                let slot = shard_widths.entry(shard).or_insert((0, 0));
-                slot.0 += 1;
-                slot.1 += u64::from(width);
-            }
+            } => match class {
+                BatchClass::Train => train_batches.add(width, propose_ns, execute_ns, commit_ns),
+                BatchClass::Mix => mix_batches.add(width, propose_ns, execute_ns, commit_ns),
+            },
             TraceEvent::Train {
                 node, compute_ns, ..
             } => {
@@ -312,18 +301,6 @@ fn main() -> ExitCode {
         }
         if mix_batches.batches > 0 {
             mix_batches.print("mix");
-        }
-        // Per-shard breakdown only earns its lines when the queue is
-        // actually sharded (legacy traces default every batch to shard 0).
-        if shard_widths.len() > 1 {
-            println!("  batch width by shard (head-event shard):");
-            for (&shard, &(batches, batch_events)) in &shard_widths {
-                println!(
-                    "    shard {shard:>3}: {batches} batches, {batch_events} events \
-                     (mean width {:.1})",
-                    batch_events as f64 / batches.max(1) as f64
-                );
-            }
         }
     }
     if !compute.is_empty() {

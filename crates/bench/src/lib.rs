@@ -281,13 +281,9 @@ pub struct RunCfg {
     /// Worker threads (`0` = all available cores). Thread count never
     /// changes results — see the `ext_parallel` speedup bench.
     pub threads: usize,
-    /// Event-queue shard count for event-driven runs (`0` = single heap).
-    /// Purely structural: any value replays the same schedule — see the
-    /// `ext_scale` bench.
-    pub shards: usize,
-    /// Commit-order mode for event-driven runs (`Strict` by default;
-    /// `Window` widens batches under heterogeneous speeds at the cost of a
-    /// bounded virtual-time skew — extension: `ext_scale`).
+    /// Batching policy for event-driven runs (`Strict` by default; the
+    /// experimental `Window` widens batches under heterogeneous speeds at
+    /// the cost of a bounded virtual-time skew — extension: `ext_scale`).
     pub ordering: jwins_sim::Ordering,
     /// Tracing configuration applied to the run (None = engine default:
     /// flight recorder only, no files). Tracing is observational — see the
@@ -322,7 +318,6 @@ impl RunCfg {
             eval_interval_s: None,
             time_model: None,
             threads: 0,
-            shards: 0,
             ordering: jwins_sim::Ordering::Strict,
             trace: None,
             trace_memory: None,
@@ -349,7 +344,6 @@ fn train_config(cfg: &RunCfg, lr: f32) -> TrainConfig {
     c.robust = cfg.robust;
     c.eval_interval_s = cfg.eval_interval_s;
     c.threads = cfg.threads;
-    c.shards = cfg.shards;
     c.ordering = cfg.ordering;
     if let Some(tm) = cfg.time_model {
         c.time_model = tm;

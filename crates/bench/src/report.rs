@@ -224,7 +224,6 @@ mod tests {
                 round: 0,
                 width: 4,
                 queue_depth: 8,
-                shard: 0,
                 wall_start_ns: 0,
                 propose_ns: 1_000_000,
                 execute_ns: 5_000_000,
@@ -236,7 +235,6 @@ mod tests {
                 round: 0,
                 width: 4,
                 queue_depth: 4,
-                shard: 1,
                 wall_start_ns: 10,
                 propose_ns: 500_000,
                 execute_ns: 1_500_000,

@@ -1,8 +1,8 @@
 //! The real-concurrency round driver: one OS thread per node.
 //!
-//! This is the engine's third substrate, selected by
+//! This is the engine's second substrate, selected by
 //! [`TransportKind::Channel`]: the *same* per-node round program as the
-//! barrier engine (τ local SGD steps → strategy-built messages →
+//! event loop (τ local SGD steps → strategy-built messages →
 //! Metropolis–Hastings aggregation), but with no global barrier and no
 //! virtual clock. Every node runs on its own OS thread, messages cross real
 //! [`jwins_net::ThreadChannelTransport`] channels, and time is the wall
@@ -284,8 +284,8 @@ where
             let is_last = round + 1 == rounds;
             let eval_due =
                 is_last || (config.eval_every > 0 && (round + 1) % config.eval_every == 0);
-            // Inactive nodes evaluate too — same as the barrier engine,
-            // where every node's (possibly unchanged) model joins the mean.
+            // Inactive nodes evaluate too — same as the event loop, where
+            // every node's (possibly unchanged) model joins the mean.
             let eval = eval_due.then(|| evaluate_node(&mut state, params, &test, eval_cap));
 
             let mut board = board.lock();

@@ -7,19 +7,27 @@ use jwins_sim::HeterogeneityProfile;
 use jwins_topology::repair::RepairPolicy;
 use serde::{Deserialize, Serialize};
 
-/// Which execution substrate drives a run.
+/// How the engine's one event loop clocks a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 #[non_exhaustive]
 pub enum ExecutionMode {
     /// The paper's round structure: train → communicate → aggregate behind a
-    /// global barrier; round time from [`TimeModel::round_seconds`].
+    /// global barrier. A preset of the event loop: it runs the degenerate
+    /// [`HeterogeneityProfile`] (so every node moves in lockstep) and
+    /// ignores [`TrainConfig::heterogeneity`] and
+    /// [`TrainConfig::eval_interval_s`]. A barrier clock charges
+    /// [`TimeModel::round_seconds`] of the most bytes any node pushed each
+    /// round; it stamps [`crate::metrics::RoundRecord::sim_time_s`] and
+    /// resolves attack windows at each round's barrier start. Trace `t_ns`
+    /// stamps stay on the event clock.
     #[default]
     BulkSynchronous,
     /// Discrete-event asynchronous gossip: each node advances its own
     /// virtual clock through heterogeneous compute and links, mixing with
     /// whatever neighbour messages have *arrived* by its local time. With a
     /// degenerate [`HeterogeneityProfile`] this reproduces
-    /// [`ExecutionMode::BulkSynchronous`] results bit-for-bit.
+    /// [`ExecutionMode::BulkSynchronous`] results bit-for-bit, apart from
+    /// `sim_time_s`.
     EventDriven,
 }
 
@@ -109,7 +117,7 @@ pub struct TrainConfig {
     /// runtime landed; configs now round-trip losslessly.)
     #[serde(default)]
     pub time_model: TimeModel,
-    /// Execution substrate: barrier rounds or event-driven async gossip.
+    /// Execution mode: barrier rounds or event-driven async gossip.
     #[serde(default)]
     pub execution: ExecutionMode,
     /// Transport backend: the deterministic in-process simulator (default)
@@ -119,17 +127,17 @@ pub struct TrainConfig {
     #[serde(default)]
     pub transport: TransportKind,
     /// Hardware heterogeneity (compute speeds, link capacities) for
-    /// [`ExecutionMode::EventDriven`]. The default profile is degenerate:
-    /// uniform compute, instantaneous links.
+    /// [`ExecutionMode::EventDriven`]; ignored under
+    /// [`ExecutionMode::BulkSynchronous`]. The default profile is
+    /// degenerate: uniform compute, instantaneous links.
     #[serde(default)]
     pub heterogeneity: HeterogeneityProfile,
     /// Fault injection and bounded staleness for
     /// [`ExecutionMode::EventDriven`]: a crash/recovery plan plus message
     /// TTL/staleness caps. The default is a strict no-op — event-driven
     /// runs reproduce their fault-free results bit-for-bit. Non-degenerate
-    /// values are rejected under [`ExecutionMode::BulkSynchronous`]; project
-    /// a fault timeline onto barrier rounds with
-    /// [`crate::participation::FaultParticipation`] instead.
+    /// values need [`ExecutionMode::EventDriven`] and are rejected under
+    /// [`ExecutionMode::BulkSynchronous`].
     #[serde(default)]
     pub faults: FaultConfig,
     /// Evaluate every this many *virtual seconds* in event-driven runs
@@ -182,21 +190,15 @@ pub struct TrainConfig {
     /// pre-adversary engine (pinned by `tests/byzantine.rs`).
     #[serde(default)]
     pub attack: jwins_adversary::AttackPlan,
-    /// Event-queue shard count for [`ExecutionMode::EventDriven`] (`0` =
-    /// one shard, the pre-shard layout). Pending events are routed to shard
-    /// `node % shards`; pops always take the global minimum across shard
-    /// heads, so the shard count never changes the schedule — it only
-    /// shrinks the per-heap working set at large node counts.
-    #[serde(default)]
-    pub shards: usize,
-    /// Commit-order contract of the event loop
-    /// ([`jwins_sim::Ordering::Strict`] by default — bit-identical to the
-    /// global single-heap engine). [`jwins_sim::Ordering::Window`] lets one
-    /// execute batch span events up to `max_skew_ns` of virtual time apart,
-    /// restoring wide parallel batches under fully-random per-node speeds
-    /// at the cost of a bounded reordering (an event may miss effects
-    /// committed less than the skew before it fires). Requires
-    /// [`ExecutionMode::EventDriven`] on [`TransportKind::Sim`].
+    /// Batching policy of the event queue ([`jwins_sim::Ordering::Strict`]
+    /// by default: batches are simultaneous, a pure re-grouping of the
+    /// one-at-a-time schedule). The experimental
+    /// [`jwins_sim::Ordering::Window`] lets one execute batch span events up
+    /// to `max_skew_ns` of virtual time apart, at the cost of a bounded
+    /// reordering (an event may miss effects committed less than the skew
+    /// before it fires); it has measured 1.4–2.3× *slower* than Strict on
+    /// 2 cores. Requires [`ExecutionMode::EventDriven`] on
+    /// [`TransportKind::Sim`].
     #[serde(default)]
     pub ordering: jwins_sim::Ordering,
     /// Robust aggregation rule applied to decoded neighbor contributions
@@ -236,19 +238,11 @@ impl TrainConfig {
             message_loss: 0.0,
             trace: jwins_trace::TraceConfig::default(),
             metrics: jwins_metrics::MetricsConfig::default(),
-            shards: 0,
             ordering: jwins_sim::Ordering::Strict,
             attack: jwins_adversary::AttackPlan::None,
             robust: jwins_adversary::Robust::None,
             record_alphas: false,
         }
-    }
-
-    /// Fluent event-queue shard-count override (`0` = one shard).
-    #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
     }
 
     /// Fluent commit-order override (event-driven sim runs only for
@@ -372,9 +366,7 @@ impl TrainConfig {
         self.faults.validate().map_err(JwinsError::InvalidConfig)?;
         if self.execution == ExecutionMode::BulkSynchronous && !self.faults.is_noop() {
             return Err(JwinsError::InvalidConfig(
-                "fault plans and staleness caps require event-driven execution; project \
-                 the timeline onto barrier rounds with FaultParticipation instead"
-                    .into(),
+                "fault plans and staleness caps require event-driven execution".into(),
             ));
         }
         if self.execution == ExecutionMode::BulkSynchronous && !self.repair.is_none() {
@@ -469,22 +461,40 @@ impl TrainConfig {
                 ));
             }
         }
+        self.validate_time_model()?;
         self.metrics.validate().map_err(JwinsError::InvalidConfig)?;
         self.attack.validate().map_err(JwinsError::InvalidConfig)?;
         self.robust.validate().map_err(JwinsError::InvalidConfig)?;
-        if self.execution == ExecutionMode::EventDriven {
-            // The event clock derives every node's round length from
-            // compute_s; zero (or NaN/negative, which SimTime would clamp
-            // to zero silently) would let one node run all its rounds at
-            // t=0 before any other node starts.
-            if self.time_model.compute_s.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater)
-                || !self.time_model.compute_s.is_finite()
-            {
-                return Err(JwinsError::InvalidConfig(
-                    "event-driven execution requires a positive, finite time_model.compute_s"
-                        .into(),
-                ));
-            }
+        // The event clock derives every node's round length from compute_s
+        // (already finite and >= 0 here); zero would let one node run all
+        // its rounds at t=0 before any other node starts.
+        if self.execution == ExecutionMode::EventDriven && self.time_model.compute_s <= 0.0 {
+            return Err(JwinsError::InvalidConfig(
+                "event-driven execution requires a positive, finite time_model.compute_s".into(),
+            ));
+        }
+        Ok(())
+    }
+
+    /// Rejects time models that would panic or poison the clocks: the
+    /// barrier clock divides by `bandwidth_bps` and adds `latency_s` and
+    /// `compute_s` every round. (`is_finite` also rules out NaN.)
+    fn validate_time_model(&self) -> Result<()> {
+        let tm = &self.time_model;
+        if !(tm.bandwidth_bps.is_finite() && tm.bandwidth_bps > 0.0) {
+            return Err(JwinsError::InvalidConfig(
+                "time_model.bandwidth_bps must be positive and finite".into(),
+            ));
+        }
+        if !(tm.latency_s.is_finite() && tm.latency_s >= 0.0) {
+            return Err(JwinsError::InvalidConfig(
+                "time_model.latency_s must be finite and >= 0".into(),
+            ));
+        }
+        if !(tm.compute_s.is_finite() && tm.compute_s >= 0.0) {
+            return Err(JwinsError::InvalidConfig(
+                "time_model.compute_s must be finite and >= 0".into(),
+            ));
         }
         Ok(())
     }
@@ -544,11 +554,37 @@ mod tests {
         assert!(c.validate().is_err());
         c.time_model.compute_s = f64::NAN;
         assert!(c.validate().is_err());
-        // The barrier engine never schedules by compute_s alone; zero stays
-        // legal there.
+        // The barrier clock charges compute_s once per round; zero stays
+        // legal there, but NaN and negative values are rejected everywhere.
         c.execution = ExecutionMode::BulkSynchronous;
         c.time_model.compute_s = 0.0;
         assert!(c.validate().is_ok());
+        c.time_model.compute_s = -1.0;
+        assert!(c.validate().is_err());
+        c.time_model.compute_s = f64::NAN;
+        assert!(c.validate().is_err());
+        c.time_model.compute_s = f64::INFINITY;
+        assert!(c.validate().is_err());
+        // Zero or NaN bandwidth would divide the barrier clock by zero (or
+        // panic in `TimeModel::round_seconds`); infinite bandwidth is not a
+        // rate either.
+        for bandwidth in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            for execution in [ExecutionMode::BulkSynchronous, ExecutionMode::EventDriven] {
+                let mut c = TrainConfig::new(1);
+                c.execution = execution;
+                c.time_model.bandwidth_bps = bandwidth;
+                assert!(c.validate().is_err(), "bandwidth {bandwidth} accepted");
+            }
+        }
+        // A NaN or negative latency would report NaN or negative sim time.
+        for latency in [-0.5, f64::NAN, f64::INFINITY] {
+            let mut c = TrainConfig::new(1);
+            c.time_model.latency_s = latency;
+            assert!(c.validate().is_err(), "latency {latency} accepted");
+        }
+        let mut c = TrainConfig::new(1);
+        c.time_model.latency_s = 0.0;
+        assert!(c.validate().is_ok(), "zero latency is a valid model");
     }
 
     #[test]
@@ -648,7 +684,6 @@ mod tests {
             behavior: jwins_adversary::AttackBehavior::Scale { factor: -4.0 },
         };
         config.robust = jwins_adversary::Robust::TrimmedMean { trim: 0.3 };
-        config.shards = 16;
         config.ordering = jwins_sim::Ordering::Window { max_skew_ns: 2_500 };
         let text = serde::json::to_string(&config);
         let back: TrainConfig = serde::json::from_str(&text).unwrap();
@@ -667,7 +702,6 @@ mod tests {
         assert_eq!(back.metrics, config.metrics);
         assert_eq!(back.attack, config.attack);
         assert_eq!(back.robust, config.robust);
-        assert_eq!(back.shards, config.shards);
         assert_eq!(back.ordering, config.ordering);
     }
 
@@ -687,14 +721,11 @@ mod tests {
             .with_event_driven(HeterogeneityProfile::default())
             .with_ordering(jwins_sim::Ordering::Window { max_skew_ns: 0 });
         assert!(c.validate().is_err());
-        // The real thing validates, as do shards everywhere (a pure
-        // data-structure knob).
+        // The real thing validates.
         let c = TrainConfig::new(3)
             .with_event_driven(HeterogeneityProfile::default())
-            .with_ordering(window)
-            .with_shards(8);
+            .with_ordering(window);
         assert!(c.validate().is_ok());
-        assert!(TrainConfig::new(3).with_shards(64).validate().is_ok());
     }
 
     #[test]
@@ -786,7 +817,19 @@ mod tests {
         assert_eq!(config.metrics, jwins_metrics::MetricsConfig::default());
         assert_eq!(config.attack, jwins_adversary::AttackPlan::None);
         assert_eq!(config.robust, jwins_adversary::Robust::None);
-        assert_eq!(config.shards, 0);
+        assert_eq!(config.ordering, jwins_sim::Ordering::Strict);
+        assert!(config.validate().is_ok());
+    }
+
+    #[test]
+    fn legacy_shards_key_still_parses() {
+        // Configs written while the event queue was sharded carry a
+        // `shards` count; the key is ignored now that there is one heap.
+        let mut value = serde::json::to_string(&TrainConfig::new(3));
+        assert_eq!(value.pop(), Some('}'));
+        value.push_str(",\"shards\":16}");
+        let config: TrainConfig = serde::json::from_str(&value).unwrap();
+        assert_eq!(config.rounds, 3);
         assert_eq!(config.ordering, jwins_sim::Ordering::Strict);
         assert!(config.validate().is_ok());
     }

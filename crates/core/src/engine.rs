@@ -1,22 +1,28 @@
-//! The decentralized training engine, with two execution substrates.
+//! The decentralized training engine: one discrete-event loop.
 //!
-//! **Bulk-synchronous** (the paper's round structure, §II-A): every round
-//! each node runs τ local SGD steps, broadcasts one strategy-built message
-//! to its neighbours for this round's topology, then folds the received
-//! messages into its parameters using Metropolis–Hastings weights. Nodes
-//! execute in parallel worker threads inside each phase; phases are
-//! barrier-separated, so runs are bit-deterministic regardless of thread
-//! count.
-//!
-//! **Event-driven** ([`crate::config::ExecutionMode::EventDriven`]): the
-//! same per-node round program, but scheduled on a virtual clock through
-//! `jwins_sim`'s discrete-event queue. Each node's local round costs
+//! Each node runs the paper's round program (§II-A) — τ local SGD steps, one
+//! strategy-built message to each neighbour in this round's topology, then a
+//! fold of the received messages into its parameters with
+//! Metropolis–Hastings weights — scheduled on a virtual clock through
+//! `jwins_sim`'s event queue. Each node's local round costs
 //! `compute_s / speed` seconds of simulated compute, outgoing messages are
 //! serialized over its uplink and arrive `latency + bytes/bandwidth` later,
 //! and a node mixes with whatever neighbour messages have *arrived* by its
 //! local clock — possibly stale ones, whose age feeds the staleness metric.
-//! Under a degenerate heterogeneity profile (uniform compute, instantaneous
-//! links) the two substrates produce bit-identical results.
+//!
+//! The two [`crate::config::ExecutionMode`]s are two clocks on this one
+//! loop:
+//!
+//! - **Event-driven** ([`crate::config::ExecutionMode::EventDriven`]):
+//!   asynchronous gossip under the configured heterogeneity profile, fault
+//!   plan and checkpoint cadence, stamped on the event clock.
+//! - **Bulk-synchronous** (the default): a preset that runs the degenerate
+//!   profile (uniform compute, instantaneous links), so every node moves in
+//!   lockstep and each round ends at a barrier. A barrier clock charges
+//!   [`jwins_net::TimeModel::round_seconds`] of the most bytes any node
+//!   pushed that round; it stamps [`RoundRecord::sim_time_s`] and
+//!   [`TargetHit::sim_time_s`] and resolves attack windows at each round's
+//!   barrier start. Trace `t_ns` stamps stay on the event clock.
 //!
 //! # Parallel event execution and the determinism contract
 //!
@@ -48,38 +54,33 @@
 //! - [`crate::config::TrainConfig::threads`] (1, 2, 8, or 0 = all cores) —
 //!   worker threads only split the execute phase of already-independent
 //!   events;
-//! - [`crate::config::TrainConfig::shards`] — the event queue
-//!   ([`jwins_sim::ShardedEventQueue`]) routes events to per-node-group
-//!   heaps but merges them behind one global insertion counter and tie
-//!   hash, so any shard count replays the identical total order
-//!   (`tests/scale_determinism.rs`);
 //! - host core count / scheduler timing, for the same reason.
 //!
 //! These knobs **do** change results, deterministically:
 //!
 //! - [`crate::config::TrainConfig::seed`] — drives initial weights, batch
 //!   order, queue tie-breaks, loss draws and fault expansion;
-//! - [`crate::config::TrainConfig::ordering`] — `Window { max_skew_ns }`
-//!   lets a batch absorb events within a bounded virtual-time skew of its
-//!   head (each still executes at its own timestamp), trading strict
-//!   commit interleaving for batch width under fully-random speeds;
-//!   `Strict` (the default) is bit-identical to the pre-sharding engine;
-//! - the heterogeneity profile, fault plan, staleness policy, topology and
-//!   every learning hyperparameter.
+//! - [`crate::config::TrainConfig::ordering`] — the experimental
+//!   `Window { max_skew_ns }` lets a batch absorb events within a bounded
+//!   virtual-time skew of its head (each still executes at its own
+//!   timestamp), trading strict commit interleaving for batch width under
+//!   fully-random speeds; `Strict` (the default) batches only simultaneous
+//!   events;
+//! - the execution mode, heterogeneity profile, fault plan, staleness
+//!   policy, topology and every learning hyperparameter.
 //!
 //! The contract is enforced by tests: `tests/parallel_determinism.rs`
 //! replays a fault + staleness workload at `threads` ∈ {1, 2, 8} and
 //! asserts identical [`RoundRecord`] streams; `engine::tests::`
 //! `event_driven_replays_identically_and_ignores_thread_count` covers the
-//! straggler path, `tests/event_driven.rs` pins event-vs-barrier
-//! bit-equality on degenerate profiles, and the `jwins_sim` proptests pin
-//! the batch/pop equivalence itself. The batch width also bounds the
-//! attainable speedup: nodes whose clocks drift apart (fully random
-//! per-node speeds) yield singleton batches, while class-structured
-//! profiles (e.g. [`jwins_sim::HeterogeneityProfile::stragglers`]) keep
-//! same-speed cohorts aligned and batch wide — see the `ext_parallel`
-//! bench, and `ext_scale` for the windowed-ordering escape hatch at large
-//! node counts.
+//! straggler path, `tests/event_driven.rs` pins bulk-synchronous vs
+//! degenerate event-driven bit-equality across strategies, topologies and
+//! perturbations, and the `jwins_sim` proptests pin the batch/pop
+//! equivalence itself. The batch width also bounds the attainable speedup:
+//! nodes whose clocks drift apart (fully random per-node speeds) yield
+//! singleton batches, while class-structured profiles (e.g.
+//! [`jwins_sim::HeterogeneityProfile::stragglers`]) keep same-speed cohorts
+//! aligned and batch wide — see the `ext_parallel` and `ext_scale` benches.
 
 use crate::arena::ParamArena;
 use crate::config::{ExecutionMode, TrainConfig, TransportKind};
@@ -91,10 +92,12 @@ use jwins_adversary::{AttackBehavior, AttackTimeline};
 use jwins_data::batch::BatchSampler;
 use jwins_fault::RejoinMode;
 use jwins_net::{
-    LossModel, PendingSend, PurgeScope, SimNetwork, ThreadChannelTransport, Transport,
+    LossModel, PendingSend, PurgeScope, SimNetwork, ThreadChannelTransport, TimeModel, Transport,
 };
 use jwins_nn::model::{EvalMetrics, Model};
-use jwins_sim::{Conflict, LifecycleEvent, LifecycleTracker, ShardedEventQueue, SimTime};
+use jwins_sim::{
+    Conflict, EventQueue, HeterogeneityProfile, LifecycleEvent, LifecycleTracker, SimTime,
+};
 use jwins_topology::dynamic::{RoundTopology, TopologyProvider};
 use jwins_topology::repair::{dead_neighbor_counts, LiveSet};
 use jwins_trace::{AttackKind, BatchClass, KillReason, TraceEvent, TraceSink, Tracer};
@@ -259,7 +262,6 @@ impl<M: Model> TrainerBuilder<M> {
                 model,
                 sampler,
                 strategy,
-                out: None,
                 last_train_loss: 0.0,
                 last_alpha: 0.0,
             });
@@ -325,6 +327,50 @@ struct FaultTelemetry {
     mass_clipped: f64,
 }
 
+/// The bulk-synchronous preset's round clock. The paper's barrier round
+/// costs local compute plus one latency plus the busiest node's transfer
+/// time, so when a round's last node passes, the clock adds
+/// [`TimeModel::round_seconds`] of the most bytes any node pushed that
+/// round — the same sequential `+=`, round by round, that the time model
+/// prescribes. The preset runs in lockstep, so only one round is ever in
+/// flight.
+struct BarrierClock {
+    time_model: TimeModel,
+    /// Seconds at the current round's barrier start: the sum of every
+    /// completed round's charge.
+    elapsed_s: f64,
+    /// The most bytes any node pushed in the current round.
+    max_bytes: u64,
+}
+
+impl BarrierClock {
+    fn new(time_model: TimeModel) -> Self {
+        Self {
+            time_model,
+            elapsed_s: 0.0,
+            max_bytes: 0,
+        }
+    }
+
+    /// The current round's barrier start.
+    fn now(&self) -> SimTime {
+        SimTime::from_secs_f64(self.elapsed_s)
+    }
+
+    /// Records that one node pushed `bytes` this round.
+    fn sent(&mut self, bytes: u64) {
+        self.max_bytes = self.max_bytes.max(bytes);
+    }
+
+    /// Charges the current round once its last node has passed; returns
+    /// the clock.
+    fn complete(&mut self) -> f64 {
+        self.elapsed_s += self.time_model.round_seconds(self.max_bytes);
+        self.max_bytes = 0;
+        self.elapsed_s
+    }
+}
+
 /// Engine-side seed salt for attack-plan expansion — distinct from every
 /// other salt so the attack schedule draws randomness independent of fault
 /// expansion, compute speeds, link jitter, queue tie-breaks and loss draws.
@@ -350,14 +396,13 @@ pub(crate) struct NodeState<M: Model> {
     pub(crate) model: M,
     pub(crate) sampler: BatchSampler<M::Sample>,
     pub(crate) strategy: Box<dyn ShareStrategy>,
-    pub(crate) out: Option<Outbound>,
     pub(crate) last_train_loss: f32,
     pub(crate) last_alpha: f64,
 }
 
 /// Runs τ local SGD steps on one node — the *identical* instruction sequence
-/// for both execution substrates, so event-driven runs with a degenerate
-/// heterogeneity profile replay bulk-synchronous results bit-for-bit.
+/// for the event loop and the channel driver, so a channel run can be
+/// cross-checked against its sim-oracle replay.
 pub(crate) fn train_steps<M: Model>(
     node: &mut NodeState<M>,
     params: &mut [f32],
@@ -379,65 +424,13 @@ pub(crate) fn train_steps<M: Model>(
     node.last_train_loss = loss;
 }
 
-/// Runs each node's closure in parallel chunks, propagating the first error.
-/// Phases are barrier-separated, so results do not depend on thread count.
-/// Each closure gets the node's arena window alongside its state; chunks
-/// carry matching (state, window) pairs, so the borrows stay disjoint.
-fn par_nodes<M, F>(
-    nodes: &mut [NodeState<M>],
-    arena: &mut ParamArena,
-    threads: usize,
-    f: F,
-) -> Result<()>
-where
-    M: Model + Send,
-    M::Sample: Send + Sync,
-    F: Fn(usize, &mut NodeState<M>, &mut [f32]) -> Result<()> + Sync,
-{
-    let threads = threads.min(nodes.len()).max(1);
-    let params = arena.slices_mut();
-    if threads == 1 {
-        for (i, (node, params)) in nodes.iter_mut().zip(params).enumerate() {
-            f(i, node, params)?;
-        }
-        return Ok(());
-    }
-    let chunk = nodes.len().div_ceil(threads);
-    let mut work: Vec<(&mut NodeState<M>, &mut [f32])> = nodes.iter_mut().zip(params).collect();
-    let mut chunks: Vec<Vec<(&mut NodeState<M>, &mut [f32])>> = Vec::new();
-    while !work.is_empty() {
-        let rest = work.split_off(chunk.min(work.len()));
-        chunks.push(std::mem::replace(&mut work, rest));
-    }
-    let results: Vec<Result<()>> = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .enumerate()
-            .map(|(ci, chunk_items)| {
-                let f = &f;
-                scope.spawn(move |_| {
-                    for (k, (node, params)) in chunk_items.into_iter().enumerate() {
-                        f(ci * chunk + k, node, params)?;
-                    }
-                    Ok(())
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread must not panic"))
-            .collect()
-    })
-    .expect("scope does not panic");
-    results.into_iter().collect()
-}
-
 /// One unit of `par_batch` work: a node id, its state and arena window,
 /// and the event payload.
 type WorkItem<'a, M, T> = (usize, &'a mut NodeState<M>, &'a mut [f32], T);
 
 /// Executes one closure per `(node, item)` pair on the worker pool — the
-/// event-driven engine's *execute* phase. Items carry distinct node ids
+/// event loop's *execute* phase (and the cluster-wide evaluation). Items
+/// carry distinct node ids
 /// (the queue's independent-batch contract), whose states are selected as
 /// disjoint `&mut` borrows. Outputs come back in item order and the first
 /// error *in item order* wins regardless of thread timing, so both results
@@ -584,148 +577,6 @@ impl<M: Model> Trainer<M> {
             .collect()
     }
 
-    /// Local-training + message phase of one round. Inactive nodes skip
-    /// both, keeping their last model. `attacks[i]` marks node `i` as
-    /// Byzantine this round: it still trains honestly (its own trajectory
-    /// is untouched) but builds its outbound messages from a perturbed
-    /// *copy* of its parameters — the injection point the adversarial
-    /// layer shares with the event-driven substrate.
-    fn phase_train(
-        &mut self,
-        round: usize,
-        topo: &RoundTopology,
-        active: &[bool],
-        attacks: &[Option<AttackBehavior>],
-    ) -> Result<()>
-    where
-        M: Send,
-        M::Sample: Send + Sync,
-    {
-        let tau = self.config.local_steps;
-        let bs = self.config.batch_size;
-        let lr = self.config.lr;
-        let atk_seed = self.config.seed ^ ATTACK_SALT;
-        let threads = self.worker_threads();
-        par_nodes(
-            &mut self.nodes,
-            &mut self.arena,
-            threads,
-            move |i, node, params| {
-                if !active[i] {
-                    node.out = None;
-                    return Ok(());
-                }
-                train_steps(node, params, tau, bs, lr);
-                let neighbors = Self::active_neighbors(topo, active, i);
-                let outbound = if let Some(behavior) = attacks[i] {
-                    let mut tainted = params.to_vec();
-                    jwins_adversary::apply_behavior(behavior, atk_seed, i, round, &mut tainted);
-                    node.strategy.make_outbound(round, &tainted, &neighbors)?
-                } else {
-                    node.strategy.make_outbound(round, params, &neighbors)?
-                };
-                node.out = Some(outbound);
-                node.last_alpha = node.strategy.last_alpha();
-                Ok(())
-            },
-        )
-    }
-
-    /// Message delivery; returns the max bytes any single node pushed.
-    /// Messages flow only between nodes active this round.
-    fn phase_deliver(&mut self, topo: &RoundTopology, active: &[bool]) -> Result<u64> {
-        let mut max_node_bytes = 0u64;
-        for (i, node) in self.nodes.iter_mut().enumerate() {
-            if !active[i] {
-                continue;
-            }
-            let outbound = node
-                .out
-                .take()
-                .ok_or(JwinsError::Protocol("active node produced no message"))?;
-            let neighbors = Self::active_neighbors(topo, active, i);
-            let mut node_bytes = 0u64;
-            match outbound {
-                Outbound::Broadcast(msg) => {
-                    node_bytes = (msg.bytes.len() * neighbors.len()) as u64;
-                    for &to in &neighbors {
-                        self.network.send(PendingSend::bulk(
-                            i,
-                            to,
-                            msg.bytes.clone(),
-                            msg.breakdown,
-                        ));
-                    }
-                }
-                Outbound::PerEdge(messages) => {
-                    if messages.len() != neighbors.len() {
-                        return Err(JwinsError::Protocol(
-                            "per-edge message count mismatches neighbour count",
-                        ));
-                    }
-                    for (&to, msg) in neighbors.iter().zip(messages) {
-                        if let Some(msg) = msg {
-                            node_bytes += msg.bytes.len() as u64;
-                            self.network
-                                .send(PendingSend::bulk(i, to, msg.bytes, msg.breakdown));
-                        }
-                    }
-                }
-            }
-            max_node_bytes = max_node_bytes.max(node_bytes);
-        }
-        Ok(max_node_bytes)
-    }
-
-    /// Aggregation phase of one round (active nodes only).
-    fn phase_aggregate(&mut self, round: usize, topo: &RoundTopology, active: &[bool]) -> Result<()>
-    where
-        M: Send,
-        M::Sample: Send + Sync,
-    {
-        let network = &self.network;
-        let graph = Arc::clone(&topo.graph);
-        let weights = Arc::clone(&topo.weights);
-        let threads = self.worker_threads();
-        par_nodes(
-            &mut self.nodes,
-            &mut self.arena,
-            threads,
-            move |i, node, params| {
-                if !active[i] {
-                    return Ok(());
-                }
-                // No deadline, no TTL: barrier rounds deliver everything sent.
-                let inbox = network.drain(i, SimTime::MAX, None).envelopes;
-                let neighbors = graph.neighbors(i);
-                let received: Vec<ReceivedMessage<'_>> = inbox
-                    .iter()
-                    .map(|env| {
-                        let pos = neighbors
-                            .binary_search(&env.from)
-                            .map_err(|_| JwinsError::Protocol("message from non-neighbour"))?;
-                        let weight = weights.neighbor_weights(i)[pos];
-                        Ok(ReceivedMessage {
-                            from: env.from,
-                            // Barrier rounds are lockstep: every message in the
-                            // inbox was built for this round.
-                            round,
-                            weight,
-                            edge_weight: weight,
-                            bytes: &env.payload,
-                        })
-                    })
-                    .collect::<Result<_>>()?;
-                let mixed =
-                    node.strategy
-                        .aggregate(round, params, weights.self_weight(i), &received)?;
-                params.copy_from_slice(&mixed);
-                node.model.set_params(params);
-                Ok(())
-            },
-        )
-    }
-
     /// Evaluates all nodes on the shared test set (possibly subsampled),
     /// returning merged metrics plus each node's own accuracy — the
     /// per-node series that makes the fast/slow (and survivor/rejoiner)
@@ -737,17 +588,16 @@ impl<M: Model> Trainer<M> {
     {
         let cap = self.config.eval_test_samples;
         let test = Arc::clone(&self.test);
-        // Per-node slots merged in node order afterwards: float sums must
-        // not depend on which worker thread finished first.
-        let per_node: Vec<parking_lot::Mutex<EvalMetrics>> = (0..self.nodes.len())
-            .map(|_| parking_lot::Mutex::new(EvalMetrics::default()))
-            .collect();
         let threads = self.worker_threads();
-        par_nodes(
+        let items = (0..self.nodes.len()).map(|i| (i, ())).collect();
+        // Per-node results come back in node order and merge sequentially:
+        // float sums must not depend on which worker finished first.
+        let per_node = par_batch(
             &mut self.nodes,
             &mut self.arena,
+            items,
             threads,
-            |i, node, params| {
+            |_, node, params, ()| {
                 let subset: &[M::Sample] = if cap == 0 || cap >= test.len() {
                     &test
                 } else {
@@ -758,16 +608,14 @@ impl<M: Model> Trainer<M> {
                 for chunk in subset.chunks(64) {
                     local.merge(&node.model.evaluate(chunk));
                 }
-                *per_node[i].lock() = local;
-                Ok(())
+                Ok(local)
             },
         )?;
         let mut merged = EvalMetrics::default();
         let mut accuracies = Vec::with_capacity(per_node.len());
-        for slot in &per_node {
-            let local = slot.lock();
+        for local in &per_node {
             accuracies.push(local.accuracy());
-            merged.merge(&local);
+            merged.merge(local);
         }
         Ok((merged, accuracies))
     }
@@ -817,13 +665,14 @@ impl<M: Model> Trainer<M> {
         }
     }
 
-    /// Executes the full run on the substrate selected by
-    /// [`TrainConfig::execution`].
+    /// Executes the full run: on the event loop, clocked as
+    /// [`TrainConfig::execution`] selects, or on real threads under the
+    /// channel transport.
     ///
     /// # Errors
     ///
     /// Propagates strategy, codec and topology errors.
-    pub fn run(self) -> Result<RunResult>
+    pub fn run(mut self) -> Result<RunResult>
     where
         M: Send,
         M::Sample: Send + Sync,
@@ -838,16 +687,13 @@ impl<M: Model> Trainer<M> {
         // tail to stderr before the process unwinds.
         let guard = jwins_trace::FlightDumpGuard::new(Arc::clone(&tracer));
         let result = if self.config.transport.is_real() {
-            // The channel backend has no virtual clock to schedule either
-            // substrate on; its driver runs the round program on one OS
-            // thread per node (validation already pinned the execution
-            // mode to BulkSynchronous).
+            // The channel backend has no virtual clock to schedule the event
+            // loop on; its driver runs the round program on one OS thread
+            // per node (validation already pinned the execution mode to
+            // BulkSynchronous).
             crate::channel_driver::run_channel(self)
         } else {
-            match self.config.execution {
-                ExecutionMode::BulkSynchronous => self.run_sync(),
-                ExecutionMode::EventDriven => self.run_event_driven(),
-            }
+            self.run_event_driven()
         };
         drop(guard);
         if result.is_err() {
@@ -859,154 +705,7 @@ impl<M: Model> Trainer<M> {
         result
     }
 
-    /// The paper's barrier-synchronized round loop.
-    fn run_sync(mut self) -> Result<RunResult>
-    where
-        M: Send,
-        M::Sample: Send + Sync,
-    {
-        let tracer = Arc::clone(&self.tracer);
-        let strategy_name = self.nodes[0].strategy.name().to_owned();
-        let n = self.nodes.len();
-        let attacks =
-            AttackTimeline::expand(&self.config.attack, n, self.config.seed ^ ATTACK_SALT)
-                .map_err(JwinsError::InvalidConfig)?;
-        let mut attacks_injected = 0u64;
-        let mut mass_clipped = 0.0f64;
-        let mut records = Vec::new();
-        let mut alpha_history = Vec::new();
-        let mut sim_time = 0.0f64;
-        let mut reached_target = None;
-        let mut rounds_run = 0;
-        for round in 0..self.config.rounds {
-            let topo = self.topology.topology(round);
-            let active: Vec<bool> = (0..n)
-                .map(|i| self.participation.is_active(round, i))
-                .collect();
-            // Attack windows are virtual-time spans; resolve them at the
-            // round's start time, sequentially, so the parallel train phase
-            // only reads the finished slice.
-            let t_start = SimTime::from_secs_f64(sim_time);
-            let round_attacks: Vec<Option<AttackBehavior>> = if attacks.is_empty() {
-                vec![None; n]
-            } else {
-                (0..n)
-                    .map(|i| {
-                        if active[i] {
-                            attacks.behavior_at(i, t_start)
-                        } else {
-                            None
-                        }
-                    })
-                    .collect()
-            };
-            self.phase_train(round, &topo, &active, &round_attacks)?;
-            // Sequential, after the barrier: one injection event per
-            // attacker that actually sent this round.
-            for (i, behavior) in round_attacks.iter().enumerate() {
-                if let Some(b) = *behavior {
-                    attacks_injected += 1;
-                    tracer.emit(TraceEvent::AttackInject {
-                        t_ns: t_start.0,
-                        node: i as u32,
-                        round: round as u32,
-                        kind: attack_kind(b),
-                    });
-                }
-            }
-            if self.config.record_alphas {
-                alpha_history.push(self.nodes.iter().map(|s| s.last_alpha).collect());
-            }
-            let max_bytes = self.phase_deliver(&topo, &active)?;
-            sim_time += self.config.time_model.round_seconds(max_bytes);
-            self.phase_aggregate(round, &topo, &active)?;
-            rounds_run = round + 1;
-            let t_ns = SimTime::from_secs_f64(sim_time).0;
-            // Sequential, in node order — pairing telemetry is drained only
-            // from the barrier, never from the parallel aggregate phase.
-            for (i, node) in self.nodes.iter_mut().enumerate() {
-                if let Some(ps) = node.strategy.pairing_stats() {
-                    tracer.emit(TraceEvent::StrategyPairing {
-                        t_ns,
-                        node: i as u32,
-                        round: round as u32,
-                        paired: ps.paired,
-                        fresh_resets: ps.fresh_resets,
-                        ignored: ps.ignored,
-                    });
-                }
-                if let Some(rs) = node.strategy.robust_stats() {
-                    mass_clipped += rs.mass;
-                    tracer.emit(TraceEvent::RobustClip {
-                        t_ns,
-                        node: i as u32,
-                        round: round as u32,
-                        clipped: rs.clipped,
-                        mass: rs.mass,
-                    });
-                }
-            }
-            tracer.emit(TraceEvent::RoundComplete {
-                t_ns,
-                round: round as u32,
-            });
-            let is_last = round + 1 == self.config.rounds;
-            let eval_due = is_last
-                || (self.config.eval_every > 0 && (round + 1) % self.config.eval_every == 0);
-            if eval_due {
-                let (metrics, per_node) = self.evaluate()?;
-                let record = self.snapshot(
-                    round,
-                    &metrics,
-                    per_node,
-                    sim_time,
-                    0.0,
-                    FaultTelemetry {
-                        attacks_injected,
-                        mass_clipped,
-                        ..FaultTelemetry::default()
-                    },
-                    false,
-                );
-                tracer.emit(TraceEvent::Eval {
-                    t_ns,
-                    round: round as u32,
-                    checkpoint: false,
-                    accuracy: record.test_accuracy,
-                });
-                let hit_target = self
-                    .config
-                    .target_accuracy
-                    .is_some_and(|t| record.test_accuracy >= t);
-                let bytes_per_node = record.cum_bytes_per_node;
-                records.push(record);
-                if hit_target && reached_target.is_none() {
-                    reached_target = Some(TargetHit {
-                        round,
-                        sim_time_s: sim_time,
-                        bytes_per_node,
-                    });
-                    break;
-                }
-            }
-        }
-        tracer.emit(TraceEvent::RunEnd {
-            t_ns: SimTime::from_secs_f64(sim_time).0,
-            rounds_run: rounds_run as u32,
-            queue_depth_hwm: 0,
-        });
-        Ok(RunResult {
-            strategy: strategy_name,
-            records,
-            total_traffic: self.network.total_stats(),
-            rounds_run,
-            reached_target,
-            alpha_history,
-            measured_latency_s: None,
-        })
-    }
-
-    /// The discrete-event asynchronous-gossip loop.
+    /// The discrete-event loop behind both execution modes.
     ///
     /// Each node cycles through three events on the shared virtual clock:
     ///
@@ -1032,17 +731,17 @@ impl<M: Model> Trainer<M> {
     /// evaluation checkpoints so fast nodes' progress is visible mid-round.
     ///
     /// Simultaneous events are ordered fault < train < mix < start < eval,
-    /// then by node id, so equal-time rounds interleave exactly like the
-    /// barrier engine — which is why a degenerate heterogeneity profile
-    /// (with a no-op fault config) reproduces bulk-synchronous results
-    /// bit-for-bit.
+    /// then by node id. Under a degenerate heterogeneity profile every node
+    /// therefore moves in lockstep — all trains of a round, then all its
+    /// mixes, in node order — which is what the bulk-synchronous preset
+    /// runs, with a [`BarrierClock`] on top.
     ///
     /// Independent simultaneous events (same kind — same round, for mixes —
     /// on disjoint nodes) execute as one parallel batch whose side effects
     /// are buffered and committed in pop order — see the module docs for
     /// the full propose/execute/commit contract and why `threads` cannot
     /// change any result.
-    fn run_event_driven(mut self) -> Result<RunResult>
+    fn run_event_driven(&mut self) -> Result<RunResult>
     where
         M: Send,
         M::Sample: Send + Sync,
@@ -1102,6 +801,18 @@ impl<M: Model> Trainer<M> {
         let attack_timeline =
             AttackTimeline::expand(&self.config.attack, n, self.config.seed ^ ATTACK_SALT)
                 .map_err(JwinsError::InvalidConfig)?;
+        // The bulk-synchronous preset: the degenerate profile, no
+        // virtual-time checkpoints, and the barrier clock for sim time.
+        let barrier = self.config.execution == ExecutionMode::BulkSynchronous;
+        let mut barrier_clock = barrier.then(|| BarrierClock::new(self.config.time_model));
+        let (heterogeneity, eval_interval_s) = if barrier {
+            (HeterogeneityProfile::default(), None)
+        } else {
+            (
+                self.config.heterogeneity.clone(),
+                self.config.eval_interval_s,
+            )
+        };
         let staleness = self.config.faults.staleness;
         let ttl = staleness.ttl().map(SimTime::from_secs_f64);
         let has_cap = staleness.has_cap();
@@ -1110,12 +821,10 @@ impl<M: Model> Trainer<M> {
         // strategies with per-edge state version their handshakes by it (see
         // the edge-state versioning contract on `ShareStrategy`), so no
         // strategy needs to be refused here.
-        let speeds = self
-            .config
-            .heterogeneity
+        let speeds = heterogeneity
             .compute
             .speeds(n, self.config.seed ^ 0xC0_FFEE);
-        let links = self.config.heterogeneity.links.clone();
+        let links = heterogeneity.links;
         let link_seed = self.config.seed ^ 0x11_4B;
         let compute_time: Vec<SimTime> = speeds
             .iter()
@@ -1131,20 +840,14 @@ impl<M: Model> Trainer<M> {
         let repair_on = !repair.is_none();
         let repair_seed = self.config.seed ^ 0x5245_5041; // "REPA"
 
-        // The sharded queue preserves the single-heap total order exactly
-        // (global sequence counter + seeded tie-break, min over shard
-        // heads), so the shard count is a pure data-structure knob; only
-        // `Ordering::Window` changes the schedule, and only batch shapes.
-        let mut queue: ShardedEventQueue<Ev> = ShardedEventQueue::new(
-            self.config.seed ^ 0xE0E0,
-            self.config.shards,
-            self.config.ordering,
-        );
+        // Only `Ordering::Window` changes the schedule, and only batch
+        // shapes.
+        let mut queue: EventQueue<Ev> =
+            EventQueue::with_ordering(self.config.seed ^ 0xE0E0, self.config.ordering);
         for node in 0..n {
             queue.push(
                 SimTime::ZERO,
                 prio(RANK_START, node),
-                node,
                 Ev::StartRound {
                     node,
                     round: 0,
@@ -1160,18 +863,16 @@ impl<M: Model> Trainer<M> {
             queue.push(
                 tf.at,
                 prio(RANK_FAULT, tf.event.node()),
-                tf.event.node(),
                 Ev::Fault {
                     event: tf.event,
                     rejoin: tf.rejoin,
                 },
             );
         }
-        if let Some(interval) = self.config.eval_interval_s {
+        if let Some(interval) = eval_interval_s {
             queue.push(
                 SimTime::from_secs_f64(interval),
                 prio(RANK_EVAL, 0),
-                0,
                 Ev::EvalTick,
             );
         }
@@ -1396,6 +1097,10 @@ impl<M: Model> Trainer<M> {
                 if completed[round] == n {
                     round_ctx.remove(&round);
                     rounds_run = round + 1;
+                    let sim_time_s = match barrier_clock.as_mut() {
+                        Some(clock) => clock.complete(),
+                        None => time.as_secs_f64(),
+                    };
                     tracer.emit(TraceEvent::RoundComplete {
                         t_ns: time.0,
                         round: round as u32,
@@ -1415,7 +1120,7 @@ impl<M: Model> Trainer<M> {
                             round,
                             &metrics,
                             per_node,
-                            time.as_secs_f64(),
+                            sim_time_s,
                             mean_staleness_s,
                             FaultTelemetry {
                                 crashes: lifecycle.crashes(),
@@ -1442,7 +1147,7 @@ impl<M: Model> Trainer<M> {
                         if hit_target && reached_target.is_none() {
                             reached_target = Some(TargetHit {
                                 round,
-                                sim_time_s: time.as_secs_f64(),
+                                sim_time_s,
                                 bytes_per_node: records
                                     .last()
                                     .map_or(0.0, |r| r.cum_bytes_per_node),
@@ -1563,7 +1268,6 @@ impl<M: Model> Trainer<M> {
                             queue.push(
                                 end,
                                 prio(RANK_TRAIN, node),
-                                node,
                                 Ev::TrainDone { node, round, epoch },
                             );
                         } else {
@@ -1571,7 +1275,6 @@ impl<M: Model> Trainer<M> {
                             queue.push(
                                 end,
                                 prio(RANK_MIX, node),
-                                node,
                                 Ev::Mix {
                                     node,
                                     round,
@@ -1599,7 +1302,11 @@ impl<M: Model> Trainer<M> {
                             continue;
                         }
                         let (topo, active, avoided) = ctx_for!(round, s.time);
-                        let attack = attack_timeline.behavior_at(node, s.time);
+                        // In lockstep every earlier round has passed its
+                        // barrier, so the barrier clock reads this round's
+                        // start.
+                        let attack_time = barrier_clock.as_ref().map_or(s.time, BarrierClock::now);
+                        let attack = attack_timeline.behavior_at(node, attack_time);
                         meta.push((node, round, epoch, attack, s.time));
                         items.push((
                             node,
@@ -1616,17 +1323,13 @@ impl<M: Model> Trainer<M> {
                     let width = items.len() as u32;
                     let queue_depth = queue.len() as u32;
                     // Train batches may span rounds (the class ignores the
-                    // round); the batch record reports the head's, and the
-                    // shard id is the head node's.
+                    // round); the batch record reports the head's.
                     let Ev::TrainDone {
-                        node: batch_node,
-                        round: batch_round,
-                        ..
+                        round: batch_round, ..
                     } = head
                     else {
                         unreachable!("batches are homogeneous by class")
                     };
-                    let batch_shard = queue.shard_of(batch_node) as u32;
                     let propose_done = run_wall.elapsed();
                     let tau = self.config.local_steps;
                     let bs = self.config.batch_size;
@@ -1646,8 +1349,7 @@ impl<M: Model> Trainer<M> {
                             let neighbors = Self::active_neighbors(&item.topo, &item.active, node);
                             train_steps(state, params, tau, bs, lr);
                             // Byzantine nodes train honestly but build their
-                            // messages from a perturbed copy — the same
-                            // injection point as the barrier substrate.
+                            // messages from a perturbed copy.
                             let outbound = if let Some(behavior) = item.attack {
                                 let mut tainted = params.to_vec();
                                 jwins_adversary::apply_behavior(
@@ -1755,6 +1457,10 @@ impl<M: Model> Trainer<M> {
                                 kind: attack_kind(b),
                             });
                         }
+                        if let Some(clock) = barrier_clock.as_mut() {
+                            let bytes = proposal.sends.iter().map(|s| s.payload.len() as u64).sum();
+                            clock.sent(bytes);
+                        }
                         self.network.send_batch(proposal.sends);
                         bandwidth_saved += proposal.saved_bytes;
                         current_alpha[node] = proposal.alpha;
@@ -1765,7 +1471,6 @@ impl<M: Model> Trainer<M> {
                         queue.push(
                             proposal.mix_at,
                             prio(RANK_MIX, node),
-                            node,
                             Ev::Mix {
                                 node,
                                 round,
@@ -1781,7 +1486,6 @@ impl<M: Model> Trainer<M> {
                             round: batch_round as u32,
                             width,
                             queue_depth,
-                            shard: batch_shard,
                             wall_start_ns: wall_start.as_nanos() as u64,
                             propose_ns: (propose_done - wall_start).as_nanos() as u64,
                             execute_ns: (execute_done - propose_done).as_nanos() as u64,
@@ -1821,17 +1525,13 @@ impl<M: Model> Trainer<M> {
                     let width = items.len() as u32;
                     let queue_depth = queue.len() as u32;
                     // Mix classes encode the round, so the batch is
-                    // single-round by construction; the shard id is the
-                    // head node's.
+                    // single-round by construction.
                     let Ev::Mix {
-                        node: batch_node,
-                        round: batch_round,
-                        ..
+                        round: batch_round, ..
                     } = head
                     else {
                         unreachable!("batches are homogeneous by class")
                     };
-                    let batch_shard = queue.shard_of(batch_node) as u32;
                     let propose_done = run_wall.elapsed();
                     let network = &self.network;
                     // Execute: drain and aggregate on the worker pool.
@@ -1986,8 +1686,7 @@ impl<M: Model> Trainer<M> {
                             }
                         } else if self.config.record_alphas {
                             // Idle rounds carry the node's previous
-                            // fraction, mirroring the barrier engine's
-                            // snapshot.
+                            // fraction.
                             alpha_rows[round][node] = current_alpha[node];
                         }
                         rounds_passed[node] = round + 1;
@@ -1999,7 +1698,6 @@ impl<M: Model> Trainer<M> {
                             queue.push(
                                 at,
                                 prio(RANK_START, node),
-                                node,
                                 Ev::StartRound {
                                     node,
                                     round: round + 1,
@@ -2015,7 +1713,6 @@ impl<M: Model> Trainer<M> {
                             round: batch_round as u32,
                             width,
                             queue_depth,
-                            shard: batch_shard,
                             wall_start_ns: wall_start.as_nanos() as u64,
                             propose_ns: (propose_done - wall_start).as_nanos() as u64,
                             execute_ns: (execute_done - propose_done).as_nanos() as u64,
@@ -2169,7 +1866,6 @@ impl<M: Model> Trainer<M> {
                             queue.push(
                                 time,
                                 prio(RANK_START, node),
-                                node,
                                 Ev::StartRound {
                                     node,
                                     round,
@@ -2186,10 +1882,8 @@ impl<M: Model> Trainer<M> {
                     if pending_work == 0 && productive_recoveries == 0 {
                         continue;
                     }
-                    let interval = self
-                        .config
-                        .eval_interval_s
-                        .expect("EvalTick only scheduled with an interval");
+                    let interval =
+                        eval_interval_s.expect("EvalTick only scheduled with an interval");
                     let (metrics, per_node) = self.evaluate()?;
                     let mean_staleness_s = if mixed_messages == 0 {
                         0.0
@@ -2225,12 +1919,7 @@ impl<M: Model> Trainer<M> {
                     // scheduled past the end of training must not prolong
                     // the cadence. Checkpoints never trigger early stop.
                     if pending_work > 0 || productive_recoveries > 0 {
-                        queue.push(
-                            time.after_secs(interval),
-                            prio(RANK_EVAL, 0),
-                            0,
-                            Ev::EvalTick,
-                        );
+                        queue.push(time.after_secs(interval), prio(RANK_EVAL, 0), Ev::EvalTick);
                     }
                 }
             }
@@ -2401,49 +2090,15 @@ mod tests {
     }
 
     /// Runs a trainer and returns final per-node params plus the result —
-    /// exercises run() while keeping node state inspectable.
+    /// exercises the event loop while keeping node state inspectable
+    /// (`Trainer::run` consumes the trainer).
     fn run_and_reclaim(
         mut trainer: Trainer<jwins_nn::models::ImageClassifier>,
     ) -> (Vec<Vec<f32>>, RunResult) {
-        // Execute the same loop as `run` via public API: we simply run and
-        // then rebuild params from the consumed trainer's last snapshot.
-        // Trainer::run consumes self, so capture params through a manual
-        // round loop instead.
-        let rounds = trainer.config.rounds;
-        let active = vec![true; trainer.node_count()];
-        let no_attacks = vec![None; trainer.node_count()];
-        let mut sim_time = 0.0;
-        for round in 0..rounds {
-            let topo = trainer.topology.topology(round);
-            trainer
-                .phase_train(round, &topo, &active, &no_attacks)
-                .unwrap();
-            let bytes = trainer.phase_deliver(&topo, &active).unwrap();
-            sim_time += trainer.config.time_model.round_seconds(bytes);
-            trainer.phase_aggregate(round, &topo, &active).unwrap();
-        }
+        let result = trainer.run_event_driven().unwrap();
         let params: Vec<Vec<f32>> = (0..trainer.node_count())
             .map(|i| trainer.node_params(i).to_vec())
             .collect();
-        let (metrics, per_node) = trainer.evaluate().unwrap();
-        let record = trainer.snapshot(
-            rounds - 1,
-            &metrics,
-            per_node,
-            sim_time,
-            0.0,
-            FaultTelemetry::default(),
-            false,
-        );
-        let result = RunResult {
-            strategy: "test".into(),
-            records: vec![record],
-            total_traffic: trainer.network.total_stats(),
-            rounds_run: rounds,
-            reached_target: None,
-            alpha_history: Vec::new(),
-            measured_latency_s: None,
-        };
         (params, result)
     }
 

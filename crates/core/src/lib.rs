@@ -28,10 +28,10 @@
 //! - [`average`]: renormalized partial averaging of sparse vectors.
 //! - [`engine::Trainer`]: the decentralized training engine
 //!   (train → communicate → aggregate, Metropolis–Hastings weights,
-//!   byte-metered network, simulated wall-clock) with two execution
-//!   substrates: the paper's bulk-synchronous barrier and a discrete-event
-//!   asynchronous-gossip mode
-//!   ([`config::ExecutionMode::EventDriven`], built on `jwins_sim`) where
+//!   byte-metered network, simulated wall-clock): one discrete-event loop
+//!   built on `jwins_sim`, clocked either as the paper's bulk-synchronous
+//!   barrier rounds (a lockstep preset with a barrier clock) or as
+//!   asynchronous gossip ([`config::ExecutionMode::EventDriven`]) where
 //!   heterogeneous nodes mix whatever neighbour messages have arrived by
 //!   their local virtual clock.
 //! - [`config::TrainConfig`], [`metrics`]: experiment configuration and

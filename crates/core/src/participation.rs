@@ -200,68 +200,6 @@ impl ParticipationModel for ScriptedOutages {
     }
 }
 
-/// Round-granular projection of a virtual-time fault timeline — the bridge
-/// that lets one `jwins_fault` schedule drive *both* execution substrates.
-///
-/// The event-driven engine interprets a [`jwins_fault::FaultTimeline`]
-/// natively (mid-round crashes, killed in-flight messages). The barrier
-/// engine has no virtual clock mid-round, so this adapter declares a node
-/// inactive for round `r` when the timeline has it down at any point of the
-/// window `[r·round_s, (r+1)·round_s)` — the coarsest sound projection.
-///
-/// # Example
-///
-/// ```
-/// use jwins::participation::{FaultParticipation, ParticipationModel};
-/// use jwins_fault::{FaultOutage, FaultPlan, FaultTimeline};
-///
-/// let plan = FaultPlan::Scripted(vec![FaultOutage::new(1, 2.5, 1.0)]);
-/// let timeline = FaultTimeline::expand(&plan, 4, 7).unwrap();
-/// // 1-second rounds: node 1 is down somewhere in rounds 2 and 3.
-/// let bridge = FaultParticipation::new(timeline, 1.0);
-/// assert!(bridge.is_active(1, 1));
-/// assert!(!bridge.is_active(2, 1));
-/// assert!(!bridge.is_active(3, 1));
-/// assert!(bridge.is_active(4, 1));
-/// ```
-#[derive(Debug, Clone)]
-pub struct FaultParticipation {
-    timeline: jwins_fault::FaultTimeline,
-    round_s: f64,
-}
-
-impl FaultParticipation {
-    /// Projects `timeline` onto rounds of `round_s` simulated seconds each.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `round_s` is positive and finite.
-    pub fn new(timeline: jwins_fault::FaultTimeline, round_s: f64) -> Self {
-        assert!(
-            round_s.partial_cmp(&0.0) == Some(std::cmp::Ordering::Greater) && round_s.is_finite(),
-            "round duration must be positive and finite"
-        );
-        Self { timeline, round_s }
-    }
-
-    /// The projected timeline.
-    pub fn timeline(&self) -> &jwins_fault::FaultTimeline {
-        &self.timeline
-    }
-}
-
-impl ParticipationModel for FaultParticipation {
-    fn is_active(&self, round: usize, node: usize) -> bool {
-        let from = jwins_sim::SimTime::from_secs_f64(round as f64 * self.round_s);
-        let until = jwins_sim::SimTime::from_secs_f64((round + 1) as f64 * self.round_s);
-        !self.timeline.is_down_during(node, from, until)
-    }
-
-    fn name(&self) -> &'static str {
-        "fault-timeline"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -339,30 +277,6 @@ mod tests {
     #[should_panic(expected = "dropout probability")]
     fn dropout_of_one_rejected() {
         let _ = RandomDropout::new(1.0, 0);
-    }
-
-    #[test]
-    fn fault_participation_projects_windows() {
-        use jwins_fault::{FaultOutage, FaultPlan, FaultTimeline};
-        // Down over [1.25, 1.75): entirely inside round 1's window.
-        let plan = FaultPlan::Scripted(vec![FaultOutage::new(2, 1.25, 0.5)]);
-        let timeline = FaultTimeline::expand(&plan, 4, 0).unwrap();
-        let bridge = FaultParticipation::new(timeline, 1.0);
-        assert!(bridge.is_active(0, 2));
-        assert!(!bridge.is_active(1, 2));
-        assert!(bridge.is_active(2, 2));
-        // Other nodes are untouched.
-        assert!(bridge.is_active(1, 0));
-        assert_eq!(bridge.active_set(1, 4), vec![0, 1, 3]);
-        assert_eq!(bridge.name(), "fault-timeline");
-    }
-
-    #[test]
-    #[should_panic(expected = "round duration")]
-    fn fault_participation_rejects_zero_round() {
-        let timeline =
-            jwins_fault::FaultTimeline::expand(&jwins_fault::FaultPlan::None, 1, 0).unwrap();
-        let _ = FaultParticipation::new(timeline, 0.0);
     }
 
     #[test]

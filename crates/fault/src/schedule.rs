@@ -377,8 +377,7 @@ impl FaultTimeline {
             .any(|iv| iv.node == node && iv.start <= t && t < iv.end)
     }
 
-    /// Whether `node` is down at any point of `[from, until)` — the
-    /// round-window query behind the barrier engine's participation bridge.
+    /// Whether `node` is down at any point of `[from, until)`.
     pub fn is_down_during(&self, node: usize, from: SimTime, until: SimTime) -> bool {
         self.intervals
             .iter()

@@ -165,7 +165,6 @@ mod tests {
                 round: 0,
                 width: 2,
                 queue_depth: 3,
-                shard: 0,
                 wall_start_ns: 999,
                 propose_ns: 1,
                 execute_ns: 2,

@@ -954,7 +954,6 @@ mod tests {
                 round: 0,
                 width: 3,
                 queue_depth: 9,
-                shard: 0,
                 wall_start_ns: 5,
                 propose_ns: 10,
                 execute_ns: 20,

@@ -208,10 +208,10 @@ pub struct MeasuredFlight {
 ///   ([`TrafficStats::record_send`]); the receiver is credited when the
 ///   message is bound for its mailbox ([`TrafficStats::record_receive`]),
 ///   and purges reverse that credit ([`TrafficStats::record_kill`]).
-/// - **Drain**: one call serves every engine mode. The barrier engine
-///   passes `deadline = SimTime::MAX, ttl = None` ("everything ever
-///   sent"); the event-driven engine passes the node's local virtual clock
-///   and the staleness TTL. A `SimTime::MAX` deadline measures TTL ages at
+/// - **Drain**: one call serves every engine mode. Barrier-style drivers
+///   pass `deadline = SimTime::MAX, ttl = None` ("everything ever
+///   sent"); the event loop passes the node's local virtual clock and the
+///   staleness TTL. A `SimTime::MAX` deadline measures TTL ages at
 ///   the transport's [`Transport::now`] instead (the only meaningful "now"
 ///   when no deadline was given).
 /// - **Tracing** is strictly observational: a transport with a tracer

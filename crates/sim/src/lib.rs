@@ -15,7 +15,9 @@
 //!   its seed. [`EventQueue::pop_independent_batch`] pops a maximal prefix
 //!   of simultaneous, same-[`Conflict`]-class events on pairwise-distinct
 //!   nodes, so an interpreter can execute them on worker threads and commit
-//!   their side effects in batch order without perturbing the schedule;
+//!   their side effects in batch order without perturbing the schedule
+//!   (the experimental [`Ordering::Window`] policy widens batches to a
+//!   bounded virtual-time skew);
 //! - [`ComputeProfile`]/[`LinkProfile`]: per-node compute-speed and per-link
 //!   latency/bandwidth models, so a message's transfer time is
 //!   `latency + bytes / bandwidth` on *its* link and a straggler's round
@@ -70,10 +72,8 @@ pub mod clock;
 pub mod hetero;
 pub mod lifecycle;
 pub mod queue;
-pub mod shard;
 
 pub use clock::{SimTime, VirtualClock};
 pub use hetero::{ComputeProfile, HeterogeneityProfile, LinkParams, LinkProfile};
 pub use lifecycle::{LifecycleEvent, LifecycleTracker};
-pub use queue::{Conflict, EventQueue, Scheduled};
-pub use shard::{Ordering, ShardedEventQueue};
+pub use queue::{Conflict, EventQueue, Ordering, Scheduled};

@@ -153,7 +153,6 @@ mod tests {
             round: i as u32,
             width: 4,
             queue_depth: 12,
-            shard: (i % 2) as u32,
             wall_start_ns: i * 10_000,
             propose_ns: 100,
             execute_ns: 2_000,

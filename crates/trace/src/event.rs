@@ -274,10 +274,6 @@ pub enum TraceEvent {
         width: u32,
         /// Queue depth right after the batch was popped.
         queue_depth: u32,
-        /// The event-queue shard the batch head was routed to (0 on the
-        /// unsharded engine; absent in pre-shard traces, which parse as 0).
-        #[serde(default)]
-        shard: u32,
         /// Wall-clock offset of the propose phase from run start (ns).
         wall_start_ns: u64,
         /// Wall nanoseconds spent in the sequential propose phase.
@@ -355,7 +351,6 @@ impl TraceEvent {
                 round,
                 width,
                 queue_depth,
-                shard,
                 ..
             } => TraceEvent::ExecuteBatch {
                 t_ns,
@@ -363,7 +358,6 @@ impl TraceEvent {
                 round,
                 width,
                 queue_depth,
-                shard,
                 wall_start_ns: 0,
                 propose_ns: 0,
                 execute_ns: 0,
@@ -503,7 +497,6 @@ mod tests {
                 round: 4,
                 width: 6,
                 queue_depth: 20,
-                shard: 3,
                 wall_start_ns: 123,
                 propose_ns: 456,
                 execute_ns: 789,
@@ -522,21 +515,28 @@ mod tests {
     }
 
     #[test]
-    fn pre_shard_batch_lines_parse_with_shard_zero() {
-        // Fixture traces recorded before the sharded engine carry no
-        // `shard` key; they must keep loading (and comparing) as shard 0.
+    fn legacy_batch_lines_with_a_shard_key_still_parse() {
+        // Traces recorded by the retired sharded queue carry a `shard` key
+        // on every batch; unknown keys are ignored, so they keep loading.
         let line = "{\"ExecuteBatch\":{\"t_ns\":1000,\"class\":\"Train\",\
-                    \"round\":2,\"width\":4,\"queue_depth\":8,\
+                    \"round\":2,\"width\":4,\"queue_depth\":8,\"shard\":3,\
                     \"wall_start_ns\":5,\"propose_ns\":6,\"execute_ns\":7,\
                     \"commit_ns\":8}}";
-        let ev: TraceEvent = serde::json::from_str(line).expect("old line parses");
-        match ev {
-            TraceEvent::ExecuteBatch { shard, width, .. } => {
-                assert_eq!(shard, 0);
-                assert_eq!(width, 4);
+        let ev: TraceEvent = serde::json::from_str(line).expect("legacy line parses");
+        assert_eq!(
+            ev,
+            TraceEvent::ExecuteBatch {
+                t_ns: 1000,
+                class: BatchClass::Train,
+                round: 2,
+                width: 4,
+                queue_depth: 8,
+                wall_start_ns: 5,
+                propose_ns: 6,
+                execute_ns: 7,
+                commit_ns: 8,
             }
-            other => panic!("wrong variant: {other:?}"),
-        }
+        );
     }
 
     #[test]
@@ -550,7 +550,6 @@ mod tests {
                     round,
                     width,
                     queue_depth,
-                    shard,
                     ..
                 } => {
                     assert_eq!(
@@ -561,7 +560,6 @@ mod tests {
                             round,
                             width,
                             queue_depth,
-                            shard,
                             wall_start_ns: 0,
                             propose_ns: 0,
                             execute_ns: 0,

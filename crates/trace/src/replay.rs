@@ -112,7 +112,6 @@ not json\n\
                 round: 0,
                 width: 4,
                 queue_depth: 8,
-                shard: 0,
                 wall_start_ns: 1,
                 propose_ns: 2,
                 execute_ns: 3,

@@ -195,7 +195,6 @@ mod tests {
                 round: (i % 5) as u32,
                 width: 3,
                 queue_depth: 9,
-                shard: (i % 3) as u32,
                 wall_start_ns: i,
                 propose_ns: 1,
                 execute_ns: 2,

@@ -28,7 +28,7 @@
 //! wall-clock rounds rather than the barrier-vs-async comparison.
 //!
 //! With `--nodes N` the cluster scales past the default 8 nodes (the
-//! sharded event engine handles thousands; above 16 nodes the per-node
+//! event engine handles thousands; above 16 nodes the per-node
 //! datasets cycle through 16 templates so data generation stays cheap).
 
 use jwins::config::{ChannelTransportConfig, ExecutionMode, TrainConfig, TransportKind};
