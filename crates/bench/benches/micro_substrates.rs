@@ -76,6 +76,18 @@ fn bench_codecs(c: &mut Criterion) {
     group.bench_function("xor_float_encode_6k", |b| {
         b.iter(|| black_box(XorFloatCodec.encode(&values)));
     });
+    let xor_encoded = XorFloatCodec.encode(&values);
+    group.bench_function("xor_float_decode_6k", |b| {
+        b.iter(|| black_box(XorFloatCodec.decode(&xor_encoded, values.len()).unwrap()));
+    });
+    let values_64k = model_vector(DIM);
+    group.bench_function("xor_float_encode_64k", |b| {
+        b.iter(|| black_box(XorFloatCodec.encode(&values_64k)));
+    });
+    let xor_encoded_64k = XorFloatCodec.encode(&values_64k);
+    group.bench_function("xor_float_decode_64k", |b| {
+        b.iter(|| black_box(XorFloatCodec.decode(&xor_encoded_64k, DIM).unwrap()));
+    });
     group.bench_function("raw_float_encode_6k", |b| {
         b.iter(|| black_box(RawFloatCodec.encode(&values)));
     });

@@ -27,8 +27,13 @@ pub fn write_gamma(w: &mut BitWriter, n: u64) -> Result<()> {
         return Err(CodecError::InvalidValue("Elias gamma cannot encode 0"));
     }
     let bits = 64 - n.leading_zeros(); // position of the highest one bit, 1-based
-    w.write_zeros(bits - 1);
-    w.write_bits(n, bits);
+    if bits <= 32 {
+        // `n < 2^bits`, so the `bits - 1` leading zeros come for free.
+        w.write_bits(n, 2 * bits - 1);
+    } else {
+        w.write_zeros(bits - 1);
+        w.write_bits(n, bits);
+    }
     Ok(())
 }
 
@@ -39,6 +44,15 @@ pub fn write_gamma(w: &mut BitWriter, n: u64) -> Result<()> {
 /// Propagates [`CodecError::UnexpectedEof`] and flags runs longer than 64 bits
 /// as [`CodecError::Corrupt`].
 pub fn read_gamma(r: &mut BitReader<'_>) -> Result<u64> {
+    // A code that lies within the loaded window decodes in one step. Longer
+    // codes, and codes that would run past the end, take the checked path
+    // below, which reports exactly how the stream falls short.
+    let (window, loaded) = r.window();
+    let len = 2 * window.leading_zeros() + 1;
+    if len <= loaded {
+        r.consume(len);
+        return Ok(window >> (64 - len));
+    }
     let zeros = r.read_unary_zeros()?;
     if zeros >= 64 {
         return Err(CodecError::Corrupt("gamma prefix longer than 64 bits"));
@@ -125,7 +139,9 @@ pub fn gamma_encode_all(values: &[u64]) -> Result<Vec<u8>> {
 /// Fails if the stream is too short or corrupt.
 pub fn gamma_decode_all(bytes: &[u8], count: usize) -> Result<Vec<u64>> {
     let mut r = BitReader::new(bytes);
-    let mut out = Vec::with_capacity(count);
+    // `count` may be wire-influenced; growth is bounded by the
+    // stream length, so cap only the eager pre-allocation.
+    let mut out = Vec::with_capacity(count.min(1 << 20));
     for _ in 0..count {
         out.push(read_gamma(&mut r)?);
     }
@@ -237,6 +253,15 @@ mod tests {
         let bytes = gamma_encode_all(&[300]).unwrap();
         let cut = &bytes[..bytes.len() - 1];
         assert!(gamma_decode_all(cut, 1).is_err());
+    }
+
+    #[test]
+    fn huge_count_fails_without_preallocating() {
+        let bytes = gamma_encode_all(&[1, 2, 3]).unwrap();
+        assert_eq!(
+            gamma_decode_all(&bytes, usize::MAX),
+            Err(CodecError::UnexpectedEof)
+        );
     }
 
     #[test]

@@ -47,10 +47,11 @@ impl FloatCodec for RawFloatCodec {
     }
 
     fn decode(&self, bytes: &[u8], count: usize) -> Result<Vec<f32>> {
-        if bytes.len() < count * 4 {
+        let len = count.checked_mul(4).ok_or(CodecError::UnexpectedEof)?;
+        if bytes.len() < len {
             return Err(CodecError::UnexpectedEof);
         }
-        Ok(bytes[..count * 4]
+        Ok(bytes[..len]
             .chunks_exact(4)
             .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
             .collect())
@@ -80,18 +81,17 @@ impl XorFloatCodec {
 
 impl FloatCodec for XorFloatCodec {
     fn encode(&self, values: &[f32]) -> Vec<u8> {
+        let Some((first, rest)) = values.split_first() else {
+            return Vec::new();
+        };
         let mut w = BitWriter::with_capacity_bits(values.len() * 16);
-        let mut prev: u32 = 0;
+        let mut prev = first.to_bits();
+        w.write_bits(u64::from(prev), 32);
         // Window carried over from the last `11` control block.
         let mut win_lead: u32 = u32::MAX;
         let mut win_len: u32 = 0;
-        for (i, v) in values.iter().enumerate() {
+        for v in rest {
             let bits = v.to_bits();
-            if i == 0 {
-                w.write_bits(u64::from(bits), 32);
-                prev = bits;
-                continue;
-            }
             let x = bits ^ prev;
             prev = bits;
             if x == 0 {
@@ -103,16 +103,14 @@ impl FloatCodec for XorFloatCodec {
             let len = 32 - lead - trail;
             let fits_window =
                 win_lead != u32::MAX && lead >= win_lead && lead + len <= win_lead + win_len;
-            w.write_bit(true);
+            // Control bits, header and significant bits go out as one field
+            // of at most 2 + 10 + 32 bits.
             if fits_window {
-                w.write_bit(false);
                 let shifted = x >> (32 - win_lead - win_len);
-                w.write_bits(u64::from(shifted), win_len);
+                w.write_bits((0b10 << win_len) | u64::from(shifted), 2 + win_len);
             } else {
-                w.write_bit(true);
-                w.write_bits(u64::from(lead), 5);
-                w.write_bits(u64::from(len - 1), 5);
-                w.write_bits(u64::from(x >> trail), len);
+                let header = (0b11 << 10) | (lead << 5) | (len - 1);
+                w.write_bits((u64::from(header) << len) | u64::from(x >> trail), 12 + len);
                 win_lead = lead;
                 win_len = len;
             }
@@ -125,34 +123,48 @@ impl FloatCodec for XorFloatCodec {
         // `count` may be wire-influenced; growth is bounded by the
         // stream length, so cap only the eager pre-allocation.
         let mut out = Vec::with_capacity(count.min(1 << 20));
-        let mut prev: u32 = 0;
+        if count == 0 {
+            return Ok(out);
+        }
+        let mut prev = r.read_bits(32)? as u32;
+        out.push(f32::from_bits(prev));
         let mut win_lead: u32 = u32::MAX;
         let mut win_len: u32 = 0;
-        for i in 0..count {
-            if i == 0 {
-                prev = r.read_bits(32)? as u32;
-                out.push(f32::from_bits(prev));
-                continue;
-            }
-            if !r.read_bit()? {
-                out.push(f32::from_bits(prev));
-                continue;
-            }
-            let x = if !r.read_bit()? {
+        for _ in 1..count {
+            // A whole code (at most 2 + 10 + 32 bits) sits in one window. The
+            // window has at least 57 bits loaded unless fewer remain, so
+            // checking each field against `loaded`, in wire order, reports
+            // truncation and corruption exactly as a field-by-field reader.
+            let (window, loaded) = r.window();
+            let need = |bits: u32| {
+                if bits <= loaded {
+                    Ok(bits)
+                } else {
+                    Err(CodecError::UnexpectedEof)
+                }
+            };
+            let (used, x) = if window >> 63 == 0 {
+                (need(1)?, 0)
+            } else if window >> 62 == 0b10 {
+                need(2)?;
                 if win_lead == u32::MAX {
                     return Err(CodecError::Corrupt("window reuse before any window"));
                 }
-                (r.read_bits(win_len)? as u32) << (32 - win_lead - win_len)
+                let bits = ((window << 2) >> (64 - win_len)) as u32;
+                (need(2 + win_len)?, bits << (32 - win_lead - win_len))
             } else {
-                let lead = r.read_bits(5)? as u32;
-                let len = r.read_bits(5)? as u32 + 1;
+                need(12)?;
+                let lead = (window >> 57) as u32 & 0x1f;
+                let len = ((window >> 52) as u32 & 0x1f) + 1;
                 if lead + len > 32 {
                     return Err(CodecError::Corrupt("xor window exceeds 32 bits"));
                 }
                 win_lead = lead;
                 win_len = len;
-                (r.read_bits(len)? as u32) << (32 - lead - len)
+                let bits = ((window << 12) >> (64 - len)) as u32;
+                (need(12 + len)?, bits << (32 - lead - len))
             };
+            r.consume(used);
             prev ^= x;
             out.push(f32::from_bits(prev));
         }
@@ -228,6 +240,14 @@ mod tests {
         let bytes = RawFloatCodec.encode(&[1.0, 2.0]);
         assert_eq!(
             RawFloatCodec.decode(&bytes[..7], 2),
+            Err(CodecError::UnexpectedEof)
+        );
+    }
+
+    #[test]
+    fn raw_huge_count_is_an_error() {
+        assert_eq!(
+            RawFloatCodec.decode(&[0; 8], usize::MAX),
             Err(CodecError::UnexpectedEof)
         );
     }

@@ -10,7 +10,12 @@
 //!
 //! # Modules
 //!
-//! - [`bitio`]: MSB-first bit writer/reader over byte buffers.
+//! - [`bitio`]: MSB-first bit writer/reader over byte buffers. Both work a
+//!   `u64` word at a time (an accumulator on the write side, a cache
+//!   refilled by 8-byte big-endian loads on the read side). The wire layout
+//!   is bit for bit the one a one-bit-per-call coder produces, pinned by
+//!   golden byte vectors and a differential test against such a coder
+//!   (`tests/`).
 //! - [`elias`]: Elias gamma and Elias delta universal integer codes.
 //! - [`varint`]: LEB128 variable-length integers (baseline comparator).
 //! - [`delta`]: strictly-increasing index arrays ⇄ gamma-coded difference arrays.

@@ -76,10 +76,11 @@ impl IndexCodec {
     fn decode(&self, bytes: &[u8], count: usize) -> Result<Vec<u32>> {
         match self {
             IndexCodec::RawU32 => {
-                if bytes.len() < count * 4 {
+                let len = count.checked_mul(4).ok_or(CodecError::UnexpectedEof)?;
+                if bytes.len() < len {
                     return Err(CodecError::UnexpectedEof);
                 }
-                Ok(bytes[..count * 4]
+                Ok(bytes[..len]
                     .chunks_exact(4)
                     .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
                     .collect())
@@ -91,10 +92,10 @@ impl IndexCodec {
                 for k in 0..count {
                     let (d, used) = varint::read_u64(&bytes[cursor..])?;
                     cursor += used;
-                    let idx = if k == 0 { d } else { prev + d };
-                    if idx > u64::from(u32::MAX) {
+                    let idx = if k == 0 { Some(d) } else { prev.checked_add(d) };
+                    let Some(idx) = idx.filter(|&i| i <= u64::from(u32::MAX)) else {
                         return Err(CodecError::Corrupt("index overflows u32"));
-                    }
+                    };
                     out.push(idx as u32);
                     prev = idx;
                 }
@@ -243,18 +244,18 @@ impl SparseVecCodec {
             ));
         }
         let count = count as usize;
-        let index_len = index_len as usize;
         let header = used1 + used2;
-        if bytes.len() < header + index_len || index_len > bytes.len() {
-            return Err(CodecError::UnexpectedEof);
-        }
-        let indices = self
-            .index_codec
-            .decode(&bytes[header..header + index_len], count)?;
+        // `index_len` is wire-controlled too: bound it without overflowing.
+        let index_end = usize::try_from(index_len)
+            .ok()
+            .and_then(|len| header.checked_add(len))
+            .filter(|&end| end <= bytes.len())
+            .ok_or(CodecError::UnexpectedEof)?;
+        let indices = self.index_codec.decode(&bytes[header..index_end], count)?;
         let values = self
             .value_codec
             .as_codec()
-            .decode(&bytes[header + index_len..], count)?;
+            .decode(&bytes[index_end..], count)?;
         Ok((indices, values))
     }
 }
@@ -339,6 +340,37 @@ mod tests {
                 "cut at {cut} should fail"
             );
         }
+    }
+
+    #[test]
+    fn huge_index_len_is_eof_not_overflow() {
+        // count 0, then an index_len varint of u64::MAX.
+        let mut bytes = vec![0x00];
+        bytes.extend([0xff; 9]);
+        bytes.push(0x01);
+        for codec in all_codecs() {
+            assert_eq!(codec.decode(&bytes), Err(CodecError::UnexpectedEof));
+        }
+    }
+
+    #[test]
+    fn raw_u32_huge_count_is_an_error() {
+        assert_eq!(
+            IndexCodec::RawU32.decode(&[0; 8], usize::MAX),
+            Err(CodecError::UnexpectedEof)
+        );
+    }
+
+    #[test]
+    fn varint_delta_overflowing_index_is_corrupt() {
+        // First index 1, then a delta of u64::MAX.
+        let mut bytes = vec![0x01];
+        bytes.extend([0xff; 9]);
+        bytes.push(0x01);
+        assert_eq!(
+            IndexCodec::VarintDelta.decode(&bytes, 2),
+            Err(CodecError::Corrupt("index overflows u32"))
+        );
     }
 
     proptest! {
